@@ -10,10 +10,9 @@
 //! — which lets background-energy residency (active / standby / sleep) be
 //! billed incrementally with simple watermarks.
 
-use crate::config::{MemoryConfig, RowPolicy};
+use crate::config::{MemoryConfig, RowPolicy, TimingParams};
 use crate::power::PowerModel;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Completion report for one scheduled request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,10 +95,25 @@ impl RankState {
 /// scheduler actually performs. Without this, a single deferred write (e.g.
 /// a parity read-modify-write) would act as a head-of-line bubble for every
 /// subsequently submitted read.
+///
+/// Layout: one `Vec` of sorted, disjoint `(start, end)` intervals whose
+/// live part is `busy[head..]`. Pruning only advances `head`; the dead
+/// prefix is compacted away when a booking would otherwise grow the
+/// vector, so the steady-state live set (a dozen or two intervals) stays
+/// inside the preallocated capacity. Because the intervals are disjoint
+/// and sorted by start, their ends are sorted too, so the first interval
+/// ending after a request's earliest cycle and the prune cut are both
+/// binary searches (`partition_point`). Every interval a front-to-back
+/// scan would have skipped ends at or before `earliest`, so starting the
+/// scan at that binary-searched index visits exactly the intervals that
+/// could conflict, in the same order: grants, insert positions and
+/// gap-fill decisions are identical to the linear scan it replaces.
 #[derive(Debug, Default)]
 struct BusLedger {
-    /// Sorted, disjoint (start, end) busy intervals.
-    busy: VecDeque<(u64, u64)>,
+    /// Sorted, disjoint (start, end) busy intervals; live from `head` on.
+    busy: Vec<(u64, u64)>,
+    /// Index of the first live interval (everything before was pruned).
+    head: usize,
     /// Strict-FIFO mode: no gap filling — behave as a monotone watermark.
     strict: bool,
     watermark: u64,
@@ -113,9 +127,8 @@ impl BusLedger {
 
     fn new() -> Self {
         BusLedger {
-            busy: VecDeque::with_capacity(Self::PREALLOC),
-            strict: false,
-            watermark: 0,
+            busy: Vec::with_capacity(Self::PREALLOC),
+            ..Self::default()
         }
     }
 
@@ -126,51 +139,62 @@ impl BusLedger {
         }
     }
 
+    /// The live intervals, oldest first.
+    fn live(&self) -> &[(u64, u64)] {
+        &self.busy[self.head..]
+    }
+
     /// Reserve `len` cycles starting no earlier than `earliest`; returns the
     /// start of the granted slot.
     fn reserve(&mut self, earliest: u64, len: u64) -> u64 {
-        if self.strict {
-            let t = earliest.max(self.watermark);
-            self.watermark = t + len;
-            return t;
-        }
-        let mut t = earliest;
-        let mut pos = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
-            if e <= t {
-                continue;
-            }
-            if s >= t + len {
-                pos = i;
-                break;
-            }
-            // overlaps the candidate slot: push past this interval
-            t = e;
-        }
-        if pos != self.busy.len() {
+        let (t, gap_fill) = self.book(earliest, len);
+        if gap_fill && obs::metrics::enabled() {
             // The request slotted into a gap ahead of an already-booked
             // later transfer — the reordering "scheduler pick" this ledger
             // models (vs. appending in submission order).
             obs::counter!("dram.sched.gap_fills").inc();
         }
-        if pos == self.busy.len() {
-            // find insertion point at the tail (t is past every conflict)
-            pos = self.busy.partition_point(|&(s, _)| s < t);
-        }
-        self.busy.insert(pos, (t, t + len));
         t
+    }
+
+    /// Book the slot [`reserve`](Self::reserve) grants; the flag says
+    /// whether it went into a gap ahead of a later booking.
+    fn book(&mut self, earliest: u64, len: u64) -> (u64, bool) {
+        if self.strict {
+            let t = earliest.max(self.watermark);
+            self.watermark = t + len;
+            return (t, false);
+        }
+        if self.busy.len() == self.busy.capacity() && self.head > 0 {
+            // Reuse the pruned prefix instead of growing the vector.
+            self.busy.drain(..self.head);
+            self.head = 0;
+        }
+        let live = self.live();
+        let first = live.partition_point(|&(_, e)| e <= earliest);
+        let mut t = earliest;
+        let mut gap = None;
+        for (i, &(s, e)) in live.iter().enumerate().skip(first) {
+            if e <= t {
+                continue;
+            }
+            if s >= t + len {
+                gap = Some(i);
+                break;
+            }
+            // overlaps the candidate slot: push past this interval
+            t = e;
+        }
+        // With no gap, t is past every conflict: insert at the tail.
+        let pos = gap.unwrap_or_else(|| live.partition_point(|&(s, _)| s < t));
+        self.busy.insert(self.head + pos, (t, t + len));
+        (t, gap.is_some())
     }
 
     /// Drop intervals that end before `horizon` (arrivals are near-monotone,
     /// so old intervals can never matter again).
     fn prune(&mut self, horizon: u64) {
-        while let Some(&(_, e)) = self.busy.front() {
-            if e < horizon {
-                self.busy.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.head += self.live().partition_point(|&(_, e)| e < horizon);
     }
 }
 
@@ -190,6 +214,10 @@ pub struct ChannelStats {
 /// One memory channel with its ranks and data bus.
 pub struct Channel {
     config: MemoryConfig,
+    /// `config.effective_timing()` and the ledgers' prune window
+    /// (`4 * tRC`), derived once instead of per request.
+    timing: TimingParams,
+    prune_window: u64,
     ranks: Vec<RankState>,
     bus: BusLedger,
     stats: ChannelStats,
@@ -206,7 +234,10 @@ impl Channel {
         } else {
             BusLedger::new()
         };
+        let timing = config.effective_timing();
         Channel {
+            timing,
+            prune_window: 4 * timing.t_rc,
             config,
             ranks,
             bus,
@@ -241,8 +272,9 @@ impl Channel {
         if self.config.row_policy == RowPolicy::OpenPage {
             return self.schedule_open_page(rank, bank, row, is_write, arrival);
         }
-        let t = self.config.effective_timing();
-        let burst = self.config.burst_cycles();
+        let t = self.timing;
+        let burst = t.t_burst;
+        let horizon = arrival.saturating_sub(self.prune_window);
         let threshold = self.config.powerdown_threshold;
         let r = &mut self.ranks[rank];
 
@@ -253,7 +285,7 @@ impl Channel {
         if self.config.model_refresh_timing {
             earliest = avoid_refresh_window(earliest, t.t_refi, t.t_rfc);
         }
-        r.act_slots.prune(arrival.saturating_sub(4 * t.t_rc));
+        r.act_slots.prune(horizon);
         let act = r.act_slots.reserve(earliest, r.act_slot);
 
         // Power-down wake-up, with idle-residency billing up to `act`.
@@ -267,7 +299,7 @@ impl Channel {
         // occupancy granularity.)
         let cas_latency = if is_write { t.t_cwl } else { t.t_cl };
         let mut rw_time = act + t.t_rcd;
-        self.bus.prune(arrival.saturating_sub(4 * t.t_rc));
+        self.bus.prune(horizon);
         // Writes book extra bus cycles for the write-to-read turnaround a
         // buffering controller amortizes (half of tWTR on average); reads
         // book the bare burst.
@@ -315,8 +347,8 @@ impl Channel {
                 obs::counter!("dram.reads").inc();
             }
             obs::histogram!("dram.queue_delay").observe(act - arrival);
-            obs::histogram!("dram.bus_occupancy").observe(self.bus.busy.len() as u64);
-            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.busy.len() as u64);
+            obs::histogram!("dram.bus_occupancy").observe(self.bus.live().len() as u64);
+            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.live().len() as u64);
         }
 
         Completion {
@@ -336,8 +368,9 @@ impl Channel {
         is_write: bool,
         arrival: u64,
     ) -> Completion {
-        let t = self.config.effective_timing();
-        let burst = self.config.burst_cycles();
+        let t = self.timing;
+        let burst = t.t_burst;
+        let horizon = arrival.saturating_sub(self.prune_window);
         let r = &mut self.ranks[rank];
         let b = r.banks[bank];
 
@@ -352,14 +385,14 @@ impl Channel {
                 obs::counter!("dram.row_conflicts").inc();
                 let pre_start = arrival.max(b.cas_ready);
                 let act_earliest = pre_start + t.t_rp;
-                r.act_slots.prune(arrival.saturating_sub(4 * t.t_rc));
+                r.act_slots.prune(horizon);
                 let act = r.act_slots.reserve(act_earliest, r.act_slot);
                 (Some(act), act + t.t_rcd)
             }
             None => {
                 // Empty bank: plain activate.
                 obs::counter!("dram.row_misses").inc();
-                r.act_slots.prune(arrival.saturating_sub(4 * t.t_rc));
+                r.act_slots.prune(horizon);
                 let act = r.act_slots.reserve(arrival.max(b.next_act), r.act_slot);
                 (Some(act), act + t.t_rcd)
             }
@@ -370,7 +403,7 @@ impl Channel {
         }
 
         let cas_latency = if is_write { t.t_cwl } else { t.t_cl };
-        self.bus.prune(arrival.saturating_sub(4 * t.t_rc));
+        self.bus.prune(horizon);
         let occupancy = if is_write { burst + t.t_wtr / 2 } else { burst };
         let data_start = self.bus.reserve(cas_earliest + cas_latency, occupancy);
         let rw_time = data_start - cas_latency;
@@ -422,8 +455,8 @@ impl Channel {
                 obs::counter!("dram.reads").inc();
             }
             obs::histogram!("dram.queue_delay").observe(first_act.saturating_sub(arrival));
-            obs::histogram!("dram.bus_occupancy").observe(self.bus.busy.len() as u64);
-            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.busy.len() as u64);
+            obs::histogram!("dram.bus_occupancy").observe(self.bus.live().len() as u64);
+            obs::gauge!("dram.bus_occupancy_peak").set_max(self.bus.live().len() as u64);
         }
 
         Completion {
@@ -498,6 +531,7 @@ fn avoid_refresh_window(t: u64, t_refi: u64, t_rfc: u64) -> u64 {
 #[cfg(test)]
 mod ledger_tests {
     use super::BusLedger;
+    use std::collections::VecDeque;
 
     #[test]
     fn sequential_reservations_pack_tightly() {
@@ -560,6 +594,137 @@ mod ledger_tests {
         assert_eq!(l.reserve(0, 4), 0);
         // the [100,104) booking survives
         assert_eq!(l.reserve(99, 8), 104);
+    }
+
+    /// The ledger as it was before the binary-searched layout: a
+    /// `VecDeque` scanned front to back. Kept as the differential oracle.
+    struct ScanLedger {
+        busy: VecDeque<(u64, u64)>,
+        strict: bool,
+        watermark: u64,
+    }
+
+    impl ScanLedger {
+        fn new(strict: bool) -> Self {
+            ScanLedger {
+                busy: VecDeque::with_capacity(BusLedger::PREALLOC),
+                strict,
+                watermark: 0,
+            }
+        }
+
+        fn book(&mut self, earliest: u64, len: u64) -> (u64, bool) {
+            if self.strict {
+                let t = earliest.max(self.watermark);
+                self.watermark = t + len;
+                return (t, false);
+            }
+            let mut t = earliest;
+            let mut pos = self.busy.len();
+            for (i, &(s, e)) in self.busy.iter().enumerate() {
+                if e <= t {
+                    continue;
+                }
+                if s >= t + len {
+                    pos = i;
+                    break;
+                }
+                t = e;
+            }
+            let gap_fill = pos != self.busy.len();
+            if pos == self.busy.len() {
+                pos = self.busy.partition_point(|&(s, _)| s < t);
+            }
+            self.busy.insert(pos, (t, t + len));
+            (t, gap_fill)
+        }
+
+        fn prune(&mut self, horizon: u64) {
+            while let Some(&(_, e)) = self.busy.front() {
+                if e < horizon {
+                    self.busy.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Drive both ledgers with near-monotone arrivals (jittered, with an
+    /// occasional far-future booking like a deferred write), mixed slot
+    /// lengths and the channel's prune-before-reserve pattern; every grant,
+    /// gap-fill decision and live interval must match the scan. Returns
+    /// the ledger, the gap-fill count and the peak live-interval count.
+    fn assert_matches_scan(seed: u64, strict: bool, window: u64) -> (BusLedger, usize, usize) {
+        const LENS: [u64; 6] = [4, 5, 7, 8, 10, 12];
+        let mut rng = Lcg(seed);
+        let mut new = if strict {
+            BusLedger::strict()
+        } else {
+            BusLedger::new()
+        };
+        let mut old = ScanLedger::new(strict);
+        let (mut clock, mut gap_fills, mut peak) = (0u64, 0, 0);
+        for step in 0..20_000 {
+            clock += rng.below(20);
+            let arrival = clock.saturating_sub(rng.below(24));
+            let earliest = match rng.below(16) {
+                0 => arrival + 100 + rng.below(400),
+                1..=5 => arrival + rng.below(60),
+                _ => arrival,
+            };
+            let len = LENS[rng.below(LENS.len() as u64) as usize];
+            let horizon = arrival.saturating_sub(window);
+            new.prune(horizon);
+            old.prune(horizon);
+            let got = new.book(earliest, len);
+            assert_eq!(got, old.book(earliest, len), "step {step}");
+            assert!(new.live().iter().eq(old.busy.iter()), "step {step}");
+            gap_fills += got.1 as usize;
+            peak = peak.max(new.live().len());
+        }
+        (new, gap_fills, peak)
+    }
+
+    #[test]
+    fn binary_searched_ledger_matches_linear_scan() {
+        for seed in 1..=8 {
+            // prune windows around the channel's 4 * tRC
+            for window in [120, 200, 280] {
+                let (ledger, gap_fills, peak) = assert_matches_scan(seed, false, window);
+                assert!(gap_fills > 1000, "seed {seed}: only {gap_fills} gap fills");
+                // compaction keeps the ledger inside its preallocation
+                assert!(peak > 20 && peak < BusLedger::PREALLOC, "peak {peak}");
+                assert_eq!(ledger.busy.capacity(), BusLedger::PREALLOC);
+            }
+        }
+    }
+
+    #[test]
+    fn ledger_matches_linear_scan_past_its_preallocation() {
+        for seed in 1..=4 {
+            let (_, _, peak) = assert_matches_scan(seed, false, 1_000);
+            assert!(peak > BusLedger::PREALLOC, "peak {peak}");
+        }
+    }
+
+    #[test]
+    fn strict_ledger_matches_linear_scan() {
+        for seed in 1..=4 {
+            assert_eq!(assert_matches_scan(seed, true, 200).1, 0);
+        }
     }
 }
 

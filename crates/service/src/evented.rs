@@ -12,19 +12,19 @@
 //! Mechanics:
 //!
 //! - The accept loop (the `serve_evented` caller thread) admits
-//!   connections against the shared [`ConnCount`] cap, flips them
+//!   connections against the shared `ConnCount` cap, flips them
 //!   nonblocking, and hands them round-robin to loop shards through a
 //!   small injection queue + [`mio::Waker`] nudge.
 //! - Each loop thread owns a [`mio::Poll`] (level-triggered `epoll`, or
 //!   portable `poll(2)` under `ECC_PARITY_FORCE_POLL=1`) and a slab of
 //!   connections indexed by token. Request bytes run through the same
-//!   [`LineBuf`] reassembly and [`process_line`] state machine as the
+//!   `LineBuf` reassembly and `process_line` state machine as the
 //!   threaded mode — responses are byte-identical by construction.
 //! - Writes never block the loop: responses land in a per-connection
-//!   outbox that drains on writability. Past [`OUTBOX_HIGH_WATER`]
+//!   outbox that drains on writability. Past `OUTBOX_HIGH_WATER`
 //!   pending bytes the connection's *read* interest is dropped
 //!   (backpressure instead of unbounded buffering) and re-armed below
-//!   [`OUTBOX_LOW_WATER`].
+//!   `OUTBOX_LOW_WATER`.
 //! - `subscribe`d connections get their push lines copied into the same
 //!   outbox; a subscriber whose outbox is over the high watermark has
 //!   queued lines shed and counted (`service.push.shed`) rather than
@@ -306,11 +306,9 @@ fn handle_read(
                 // read the ack cannot miss a transition. The hub wakes
                 // this loop whenever a line lands for the subscriber.
                 let w = waker.clone();
-                let (id, rx) = engine
-                    .push_hub()
-                    .subscribe(Some(Arc::new(move || {
-                        let _ = w.wake();
-                    })));
+                let (id, rx) = engine.push_hub().subscribe(Some(Arc::new(move || {
+                    let _ = w.wake();
+                })));
                 let _ = write_line(&mut conn.outbox, &conn.resp);
                 conn.sub = Some((id, rx));
                 continue 'chunks;
@@ -401,7 +399,10 @@ fn close_conn(
     if flush_remaining && conn.pending() > 0 {
         conn.stream.prepare_blocking_flush();
         let pending = &conn.outbox[conn.outbox_written..];
-        let _ = conn.stream.write_all(pending).and_then(|()| conn.stream.flush());
+        let _ = conn
+            .stream
+            .write_all(pending)
+            .and_then(|()| conn.stream.flush());
     }
     free.push(idx);
 }
@@ -613,7 +614,11 @@ pub(crate) fn serve_evented(
         let guard = ConnGuard(Arc::clone(&active));
         let shard = &shards[next % shards.len()];
         next += 1;
-        shard.inbox.lock().expect("inbox lock").push_back((stream, guard));
+        shard
+            .inbox
+            .lock()
+            .expect("inbox lock")
+            .push_back((stream, guard));
         let _ = shard.waker.wake();
     };
 
